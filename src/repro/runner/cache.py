@@ -5,27 +5,28 @@ Two layers share one content key space (:func:`repro.runner.keys.cache_key`):
 * an **in-memory LRU** holding live Python objects — including full
   :class:`~repro.core.engine.IterationResult` traces — for hits within
   one process;
-* an optional **on-disk JSON store** (default layout
-  ``.repro_cache/<k[:2]>/<key>.json``) holding the serialisable payload
-  envelope, for hits across processes and sessions.
+* an optional **on-disk JSON store** (the :mod:`repro.util.durable`
+  store, ``<disk_dir>/<key>.json``) holding the serialisable payload,
+  for hits across processes and sessions.
 
-Disk writes are atomic (temp file + ``os.replace``); unreadable or
-version-mismatched entries count as misses and are discarded.  All
-bookkeeping is thread-safe, so one cache can back a thread-pool sweep.
+A damaged disk entry is quarantined and counted as corrupt and a miss,
+never served.  All bookkeeping is thread-safe, so one cache can back a
+thread-pool sweep.
 """
 
 from __future__ import annotations
 
-import json
+import contextlib
 import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
+from repro.util.durable import CorruptEntryError, read_verified, write_verified
+
 #: Bump when the payload schema changes; old entries then read as misses.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Layer tags reported by :meth:`ResultCache.get`.
 MEMORY, DISK = "memory", "disk"
@@ -39,6 +40,8 @@ class CacheStats:
     misses: int = 0
     disk_hits: int = 0
     stores: int = 0
+    #: Disk entries that failed verification (also counted as misses).
+    corrupt: int = 0
 
     @property
     def lookups(self) -> int:
@@ -64,7 +67,6 @@ class ResultCache:
             raise ValueError("cache maxsize must be positive")
         self._lru: OrderedDict[str, Any] = OrderedDict()
         self._lock = threading.RLock()
-        self._dir = Path(self.disk_dir) if self.disk_dir is not None else None
 
     def __len__(self) -> int:
         return len(self._lru)
@@ -75,7 +77,7 @@ class ResultCache:
         """Look up ``key``; returns ``(layer, value)`` or ``None``.
 
         The memory layer yields the stored live object; the disk layer
-        yields the JSON payload envelope (callers decode and usually
+        yields the JSON payload (callers decode and usually
         :meth:`promote` the result).
         """
         with self._lock:
@@ -83,12 +85,18 @@ class ResultCache:
                 self._lru.move_to_end(key)
                 self.stats.hits += 1
                 return (MEMORY, self._lru[key])
-        payload = self._disk_read(key)
+        payload, corrupt = None, False
+        if self.disk_dir is not None:
+            try:
+                payload = read_verified(self.disk_dir, key, version=CACHE_VERSION)
+            except CorruptEntryError:
+                corrupt = True
         with self._lock:
             if payload is not None:
                 self.stats.hits += 1
                 self.stats.disk_hits += 1
                 return (DISK, payload)
+            self.stats.corrupt += corrupt
             self.stats.misses += 1
             return None
 
@@ -97,17 +105,15 @@ class ResultCache:
     def put(self, key: str, live: Any, payload: dict[str, Any] | None = None) -> None:
         """Store a freshly computed value in both layers.
 
-        ``payload`` is the JSON envelope for the disk store; omit it to
+        ``payload`` is the JSON payload for the disk store; omit it to
         keep the entry memory-only.
         """
         with self._lock:
-            self._lru[key] = live
-            self._lru.move_to_end(key)
-            while len(self._lru) > self.maxsize:
-                self._lru.popitem(last=False)
+            self.promote(key, live)
             self.stats.stores += 1
-        if payload is not None:
-            self._disk_write(key, payload)
+        if payload is not None and self.disk_dir is not None:
+            with contextlib.suppress(OSError):  # best effort: a lost write is a later miss
+                write_verified(self.disk_dir, key, payload, version=CACHE_VERSION)
 
     def promote(self, key: str, live: Any) -> None:
         """Install a decoded disk hit into the memory layer (no disk write)."""
@@ -116,63 +122,3 @@ class ResultCache:
             self._lru.move_to_end(key)
             while len(self._lru) > self.maxsize:
                 self._lru.popitem(last=False)
-
-    def clear(self, *, disk: bool = False) -> None:
-        """Drop the memory layer (and the disk store with ``disk=True``)."""
-        with self._lock:
-            self._lru.clear()
-        if disk and self._dir is not None and self._dir.is_dir():
-            for path in self._dir.glob("*/*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-
-    # -- disk layer ------------------------------------------------------------
-
-    def _path(self, key: str) -> Path | None:
-        if self._dir is None:
-            return None
-        return self._dir / key[:2] / f"{key}.json"
-
-    def _disk_read(self, key: str) -> dict[str, Any] | None:
-        path = self._path(key)
-        if path is None or not path.is_file():
-            return None
-        try:
-            with open(path) as handle:
-                envelope = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            self._discard(path)
-            return None
-        if (
-            not isinstance(envelope, dict)
-            or envelope.get("version") != CACHE_VERSION
-            or envelope.get("key") != key
-        ):
-            self._discard(path)
-            return None
-        return envelope
-
-    def _disk_write(self, key: str, payload: dict[str, Any]) -> None:
-        path = self._path(key)
-        if path is None:
-            return
-        envelope = dict(payload)
-        envelope["version"] = CACHE_VERSION
-        envelope["key"] = key
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            with open(tmp, "w") as handle:
-                json.dump(envelope, handle)
-            os.replace(tmp, path)
-        except OSError:
-            self._discard(tmp)
-
-    @staticmethod
-    def _discard(path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass

@@ -365,8 +365,8 @@ class Sweep:
       :class:`PointFailure` in the point's result slot and keeps going.
 
     Every sweep owns a :class:`~repro.obs.metrics.MetricsRegistry`
-    (``registry``, injectable): progress events, cache hits/misses,
-    retries, timeouts, quarantined failures and pool rebuilds are all
+    (``registry``, injectable): progress events, cache hits/misses/corrupt
+    entries, retries, timeouts, quarantined failures and pool rebuilds are all
     counted, and process-pool workers ship their own metered snapshots
     back for merging — ``metrics()`` returns the combined view.
 
@@ -482,11 +482,9 @@ class Sweep:
     def run_point(self, point: SweepPoint) -> Any:
         """Evaluate one point through the cache (with retry/quarantine)."""
         key = point.key()
-        cached = self._lookup(key)
+        cached = self._lookup(point, key)
         if cached is not _MISS:
-            self.registry.counter("sweep_cache_hits_total").inc(kind=point.kind)
             return cached
-        self.registry.counter("sweep_cache_misses_total").inc(kind=point.kind)
         started = time.perf_counter()
         value = self._compute_resilient(point)
         if not isinstance(value, PointFailure):
@@ -527,13 +525,11 @@ class Sweep:
             if key in pending:  # duplicate of an already-missed point
                 pending[key].append(index)
                 continue
-            cached = self._lookup(key)
+            cached = self._lookup(point, key)
             if cached is not _MISS:
-                self.registry.counter("sweep_cache_hits_total").inc(kind=point.kind)
                 results[index] = cached
                 self._report(index, total, point, cached=True, started=started, value=cached)
             else:
-                self.registry.counter("sweep_cache_misses_total").inc(kind=point.kind)
                 pending[key] = [index]
                 unique[key] = point
 
@@ -811,10 +807,16 @@ class Sweep:
             results[index] = value
             self._report(index, total, point, cached=False, started=started, value=value)
 
-    def _lookup(self, key: str) -> Any:
+    def _lookup(self, point: SweepPoint, key: str) -> Any:
+        """The cached value for ``key`` (or ``_MISS``), metered by kind."""
+        corrupt = self.cache.stats.corrupt
         hit = self.cache.get(key)
+        if self.cache.stats.corrupt != corrupt:
+            self.registry.counter("sweep_cache_corrupt_total").inc(kind=point.kind)
         if hit is None:
+            self.registry.counter("sweep_cache_misses_total").inc(kind=point.kind)
             return _MISS
+        self.registry.counter("sweep_cache_hits_total").inc(kind=point.kind)
         layer, stored = hit
         if layer == DISK:
             stored = _decode(stored)

@@ -8,7 +8,7 @@ state.  ``save_checkpoint``/``load_checkpoint`` round-trip all of it
 through a single ``.npz`` file, and loading reinstalls the fp16 copies
 into the model, so training resumes bit-exactly (asserted in the tests).
 
-Robustness: saves are atomic (temp file + ``os.replace``, so a crash
+Robustness: saves are atomic (``util.durable.atomic_write``, so a crash
 mid-save leaves the previous checkpoint intact, never a truncated one);
 loads validate the *entire* checkpoint — readability, version, parameter
 set, every shape — before touching any optimizer state, so a bad file
@@ -25,6 +25,8 @@ import re
 import zipfile
 
 import numpy as np
+
+from repro.util.durable import atomic_write
 
 from . import storage as st
 from .modules import Module
@@ -95,14 +97,7 @@ def save_checkpoint(path: str, optimizer: CPUAdam, step: int = 0) -> str:
         payload[f"{name}::v32"] = _read_state(optimizer, name, "v32")
         payload[f"{name}::count"] = np.array([optimizer.step_counts[name]])
     final = checkpoint_path(path)
-    tmp = final + ".tmp"
-    try:
-        with open(tmp, "wb") as handle:
-            np.savez(handle, **payload)
-        os.replace(tmp, final)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    atomic_write(final, lambda handle: np.savez(handle, **payload))
     return final
 
 

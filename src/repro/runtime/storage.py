@@ -18,7 +18,7 @@ float32 the math runs in.  Spilled fp16 tensors are also *restored* at
 fp16 width, so resident memory matches the accounted bytes.
 
 Spill I/O is hardened against the failures a multi-day run actually
-sees: writes go to a temp file and ``os.replace`` into place (a crash
+sees: writes go through :func:`repro.util.durable.atomic_write` (a crash
 mid-write never leaves a half-written spill under the real name), every
 spill carries a CRC32 checksum verified on load (torn writes and bit
 flips surface as :class:`SpillCorruptionError` instead of silently
@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.obs import spans as _spans
 from repro.util.backoff import BackoffPolicy, retry_call
+from repro.util.durable import atomic_write
 
 GPU = "gpu"
 HOST = "host"
@@ -267,9 +268,9 @@ class StorageManager:
     def _spill(self, tensor: StoredTensor) -> None:
         """Write the payload to disk atomically and drop it from memory.
 
-        Each attempt writes to a temp file and ``os.replace``s it into
-        place, so a failure (or crash) mid-write never leaves a truncated
-        file under the spill name.  Transient ``OSError`` is retried with
+        Each attempt is an :func:`~repro.util.durable.atomic_write`, so a
+        failure (or crash) mid-write never leaves a truncated file under
+        the spill name.  Transient ``OSError`` is retried with
         backoff; exhaustion raises :class:`SpillError`.
         """
         if tensor.array is None:
@@ -284,14 +285,7 @@ class StorageManager:
         def attempt() -> None:
             if self.faults is not None:
                 self.faults.on_write(path)
-            tmp = path + ".tmp"
-            try:
-                with open(tmp, "wb") as handle:
-                    np.save(handle, payload)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+            atomic_write(path, lambda handle: np.save(handle, payload))
 
         try:
             with _spans.maybe_span(_spans.RT_SSD, f"spill:{tensor.name}", tensor.nbytes):

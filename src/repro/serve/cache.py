@@ -1,10 +1,9 @@
 """Concurrency-safe on-disk plan cache with corruption detection.
 
-One JSON file per content key (the runner's SHA-256 point key), each
-wrapped in a CRC32 envelope so a torn or bit-flipped file is *detected*
-and treated as a miss instead of silently served.  Writes are atomic
-(temp file + ``os.replace``), so readers never observe a half-written
-entry and a crash mid-write leaves the previous value intact.
+One JSON file per content key (the runner's SHA-256 point key) in the
+:mod:`repro.util.durable` store: atomic fsynced writes, CRC32-checked
+reads, so a torn or bit-flipped file is *detected*, quarantined and
+treated as a miss instead of silently served.
 
 ``get_or_compute`` is single-flight: when N threads miss on the same
 key simultaneously, exactly one computes while the rest wait for its
@@ -15,20 +14,13 @@ of them take over the flight, so a crash does not strand the key.
 
 from __future__ import annotations
 
-import json
-import logging
-import os
 import threading
-import zlib
 from typing import Any, Callable
 
-logger = logging.getLogger("repro.serve.cache")
+from repro.util.durable import CorruptEntryError, read_verified, write_verified
 
-_ENVELOPE_VERSION = 1
-
-
-def _checksum(payload: dict[str, Any]) -> int:
-    return zlib.crc32(json.dumps(payload, sort_keys=True).encode("utf-8"))
+#: Bump when the payload schema changes; old entries then read as misses.
+_PAYLOAD_VERSION = 1
 
 
 class PlanCache:
@@ -43,57 +35,24 @@ class PlanCache:
         self.corrupt = 0
         self.computes = 0
 
-    def _path(self, key: str) -> str:
-        safe = "".join(c for c in key if c.isalnum() or c in "-_")
-        return os.path.join(self.root, f"{safe}.json")
-
     # -- plain get/put ---------------------------------------------------------
 
     def get(self, key: str) -> dict[str, Any] | None:
         """The cached payload, or None on miss *or detected corruption*."""
-        path = self._path(key)
         try:
-            with open(path, encoding="utf-8") as handle:
-                envelope = json.load(handle)
-        except FileNotFoundError:
+            payload = read_verified(self.root, key, version=_PAYLOAD_VERSION)
+        except CorruptEntryError:
+            self.corrupt += 1
+            payload = None
+        if payload is None:
             self.misses += 1
-            return None
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-            self._quarantine(path, "unreadable")
-            return None
-        payload = envelope.get("payload") if isinstance(envelope, dict) else None
-        if not isinstance(payload, dict) or envelope.get("crc32") != _checksum(payload):
-            self._quarantine(path, "checksum mismatch")
             return None
         self.hits += 1
         return payload
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
-        """Atomically persist ``payload`` under ``key``."""
-        os.makedirs(self.root, exist_ok=True)
-        path = self._path(key)
-        envelope = {
-            "version": _ENVELOPE_VERSION,
-            "key": key,
-            "crc32": _checksum(payload),
-            "payload": payload,
-        }
-        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(envelope, handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-
-    def _quarantine(self, path: str, why: str) -> None:
-        """Move a damaged entry aside (a miss, loudly) so it recomputes."""
-        self.corrupt += 1
-        self.misses += 1
-        logger.warning("cache entry %s is corrupt (%s); quarantining", path, why)
-        try:
-            os.replace(path, f"{path}.corrupt")
-        except OSError:  # pragma: no cover - racing quarantines both lose safely
-            pass
+        """Atomically (and durably) persist ``payload`` under ``key``."""
+        write_verified(self.root, key, payload, version=_PAYLOAD_VERSION, fsync=True)
 
     # -- single-flight ---------------------------------------------------------
 

@@ -139,6 +139,29 @@ class TestSweepCaching:
         assert isinstance(outcome, EvalOutcome)
         assert fresh.stats.disk_hits == 0
 
+    def test_edited_disk_entry_is_quarantined_not_served(self, tmp_path):
+        """A still-valid-JSON edit of a stored number must fail the CRC."""
+        point = SweepPoint.evaluate(RatelPolicy(), CONFIG, 32, SERVER)
+        true_time = Sweep(cache_dir=str(tmp_path)).run_point(point).iteration_time
+        [entry] = tmp_path.rglob("*.json")
+        stored = f'"iteration_time": {true_time!r}'
+        edited = f'"iteration_time": 9{true_time!r}'
+        text = entry.read_text()
+        assert stored in text
+        entry.write_text(text.replace(stored, edited))
+
+        fresh = Sweep(cache_dir=str(tmp_path))
+        outcome = fresh.run_point(point)
+        assert outcome.iteration_time == true_time
+        assert not outcome.cached
+        assert fresh.stats.disk_hits == 0
+        assert fresh.stats.corrupt == 1
+        assert fresh.stats.misses == 1
+        assert entry.with_name(entry.name + ".corrupt").exists()
+        metrics = fresh.metrics()
+        assert metrics.value("sweep_cache_corrupt_total", kind="evaluate") == 1
+        assert metrics.value("sweep_cache_misses_total", kind="evaluate") == 1
+
 
 class TestExecutorEquivalence:
     def _values(self, outcomes):
