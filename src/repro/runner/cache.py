@@ -28,8 +28,8 @@ from repro.util.durable import CorruptEntryError, read_verified, write_verified
 #: Bump when the payload schema changes; old entries then read as misses.
 CACHE_VERSION = 2
 
-#: Layer tags reported by :meth:`ResultCache.get`.
-MEMORY, DISK = "memory", "disk"
+#: Layer tags reported by :meth:`ResultCache.get`; ``CORRUPT`` marks a quarantined miss.
+MEMORY, DISK, CORRUPT = "memory", "disk", "corrupt"
 
 
 @dataclass
@@ -74,11 +74,12 @@ class ResultCache:
     # -- lookups ---------------------------------------------------------------
 
     def get(self, key: str) -> tuple[str, Any] | None:
-        """Look up ``key``; returns ``(layer, value)`` or ``None``.
+        """Look up ``key``; returns ``(layer, value)`` or ``None`` on a miss.
 
         The memory layer yields the stored live object; the disk layer
         yields the JSON payload (callers decode and usually
-        :meth:`promote` the result).
+        :meth:`promote` the result); a disk entry that this call
+        quarantined yields ``(CORRUPT, None)``.
         """
         with self._lock:
             if key in self._lru:
@@ -98,7 +99,7 @@ class ResultCache:
                 return (DISK, payload)
             self.stats.corrupt += corrupt
             self.stats.misses += 1
-            return None
+            return (CORRUPT, None) if corrupt else None
 
     # -- stores ----------------------------------------------------------------
 

@@ -58,7 +58,7 @@ from repro.obs.ledger import RunLedger
 from repro.obs.metrics import MetricsRegistry, RegistrySnapshot
 from repro.util.backoff import BackoffPolicy
 
-from .cache import DISK, ResultCache
+from .cache import CORRUPT, DISK, ResultCache
 from .keys import cache_key
 
 logger = logging.getLogger("repro.runner")
@@ -809,10 +809,10 @@ class Sweep:
 
     def _lookup(self, point: SweepPoint, key: str) -> Any:
         """The cached value for ``key`` (or ``_MISS``), metered by kind."""
-        corrupt = self.cache.stats.corrupt
         hit = self.cache.get(key)
-        if self.cache.stats.corrupt != corrupt:
+        if hit is not None and hit[0] == CORRUPT:
             self.registry.counter("sweep_cache_corrupt_total").inc(kind=point.kind)
+            hit = None
         if hit is None:
             self.registry.counter("sweep_cache_misses_total").inc(kind=point.kind)
             return _MISS

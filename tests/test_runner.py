@@ -31,6 +31,7 @@ from repro.runner import (
     compute_point,
     is_failure,
 )
+from repro.runner.cache import CORRUPT
 
 SERVER = evaluation_server()
 CONFIG = llm("13B")
@@ -257,6 +258,14 @@ class TestResultCacheUnit:
         cache.get("a")
         cache.get("missing")
         assert cache.stats.hit_rate == pytest.approx(0.5)
+
+    def test_get_reports_a_quarantined_entry_for_that_call(self, tmp_path):
+        ResultCache(disk_dir=tmp_path).put("k", 1, {"v": 1})
+        (tmp_path / "k.json").write_bytes(b"junk")
+        cache = ResultCache(disk_dir=tmp_path)
+        assert cache.get("k") == (CORRUPT, None)
+        assert cache.get("k") is None  # already quarantined: a plain miss
+        assert (cache.stats.corrupt, cache.stats.misses) == (1, 2)
 
 
 class TestProgressHookResilience:
