@@ -17,6 +17,7 @@ combination (exercised by the property-based tests).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.hardware.spec import gpu_occupancy
@@ -60,6 +61,11 @@ class IterationEstimate:
         return self.forward.total + self.backward.total
 
 
+#: Per-resource component names of each stage, in evaluation order.
+_FORWARD_COMPONENTS = ("gpu", "pcie_g2m", "pcie_m2g", "ssd")
+_BACKWARD_COMPONENTS = ("gpu", "pcie_g2m", "pcie_m2g", "ssd", "cpu_adam")
+
+
 class IterationTimeModel:
     """Evaluate Eqs. 2-5 for a model on profiled hardware.
 
@@ -67,6 +73,14 @@ class IterationTimeModel:
     discrete-event engine realises the same schedule, so the two agree to
     within pipeline fill/drain effects (verified in the integration
     tests).
+
+    Algorithm 1 calls :meth:`iteration_time` hundreds of times per plan,
+    so every term of Eqs. 4-5 that does not depend on ``A_G2M`` is folded
+    once per instance, on first use; a call then costs a few divisions
+    plus one O(log S) Eq.-7 lookup.  ``model`` and ``hardware`` are fixed
+    for the instance's lifetime.  Each stage's formulas live in one
+    private method shared by :meth:`forward_time`/:meth:`backward_time`
+    (which also name the components) and :meth:`iteration_time`.
     """
 
     def __init__(self, model: ModelProfile, hardware: HardwareProfile) -> None:
@@ -105,16 +119,8 @@ class IterationTimeModel:
         GPU; the fp16 parameters entering the GPU; and the SSD array
         reading P16 plus absorbing the activation overflow.
         """
-        hw = self.hardware
-        p16 = self.model.states.p16
-        spill = self.a_to_ssd(a_g2m)
-        components = {
-            "gpu": self.model.forward_flops / self.effective_thp,
-            "pcie_g2m": a_g2m / hw.bw_gpu,
-            "pcie_m2g": p16 / hw.bw_gpu,
-            "ssd": self._ssd_time(read=p16, write=spill),
-        }
-        return StageTime(max(components.values()), components)
+        components = self._forward(a_g2m, self.a_to_ssd(a_g2m))
+        return StageTime(max(components), dict(zip(_FORWARD_COMPONENTS, components)))
 
     def backward_time(self, a_g2m: float) -> StageTime:
         """T_b (Eq. 5), optimizer traffic included via active offloading.
@@ -125,20 +131,9 @@ class IterationTimeModel:
         i.e. P32+OS32 both ways plus the fresh P16) plus P16 prefetch for
         the next iteration and the activation overflow read back.
         """
-        hw = self.hardware
-        states = self.model.states
         flop_r = self.recompute_flops(a_g2m)
-        spill = self.a_to_ssd(a_g2m)
-        ssd_read = states.optimizer_read + states.p16 + spill  # 12P + 2P + spill
-        ssd_write = states.optimizer_write  # 14P
-        components = {
-            "gpu": (self.model.backward_flops + flop_r) / self.effective_thp,
-            "pcie_g2m": states.g16 / hw.bw_gpu,
-            "pcie_m2g": (states.p16 + a_g2m) / hw.bw_gpu,
-            "ssd": self._ssd_time(read=ssd_read, write=ssd_write),
-            "cpu_adam": self.model.n_params / hw.cpu_adam_params_per_s,
-        }
-        return StageTime(max(components.values()), components)
+        components = self._backward(a_g2m, self.a_to_ssd(a_g2m), flop_r)
+        return StageTime(max(components), dict(zip(_BACKWARD_COMPONENTS, components)))
 
     def estimate(self, a_g2m: float) -> IterationEstimate:
         """Full :class:`IterationEstimate` for one swap amount."""
@@ -151,23 +146,81 @@ class IterationTimeModel:
         )
 
     def iteration_time(self, a_g2m: float) -> float:
-        """T_iter = T_f + T_b (Eq. 1)."""
-        return self.forward_time(a_g2m).total + self.backward_time(a_g2m).total
+        """T_iter = T_f + T_b (Eq. 1).
+
+        Equal, bit for bit, to ``forward_time(a).total +
+        backward_time(a).total`` without building either :class:`StageTime`.
+        """
+        spill = self.a_to_ssd(a_g2m)
+        t_f = max(self._forward(a_g2m, spill))
+        return t_f + max(self._backward(a_g2m, spill, self.recompute_flops(a_g2m)))
 
     # -- internals -----------------------------------------------------------
 
-    def _ssd_time(self, *, read: float, write: float) -> float:
-        """Simplex SSD array time for a read+write mix.
+    def _forward(self, a_g2m: float, spill: float) -> tuple[float, ...]:
+        """Eq. 4's components, in ``_FORWARD_COMPONENTS`` order."""
+        gpu, pcie_m2g, ssd_read_s, bw_gpu, bw_m2s = self._forward_terms
+        return gpu, a_g2m / bw_gpu, pcie_m2g, ssd_read_s + spill / bw_m2s
 
-        Eq. 2's note: SSD I/O counts as a whole because reads and writes
-        share the lane budget; each direction moves at its own rate.
+    def _backward(self, a_g2m: float, spill: float, flop_r: float) -> tuple[float, ...]:
+        """Eq. 5's components, in ``_BACKWARD_COMPONENTS`` order."""
+        (flops, thp, pcie_g2m, p16, bw_gpu, ssd_read, bw_s2m, ssd_write_s, cpu_adam) = (
+            self._backward_terms
+        )
+        return (
+            (flops + flop_r) / thp,
+            pcie_g2m,
+            (p16 + a_g2m) / bw_gpu,
+            (ssd_read + spill) / bw_s2m + ssd_write_s,
+            cpu_adam,
+        )
+
+    @functools.cached_property
+    def _forward_terms(self) -> tuple[float, ...]:
+        """Eq. 4's ``A_G2M``-independent parts.
+
+        SSD time is simplex (Eq. 2's note): reads and writes share the
+        lane budget, each direction at its own rate, so the stage's SSD
+        term is ``read / bw_s2m + write / bw_m2s``; here the read is P16
+        and the write the activation overflow.
         """
+        hw = self._ssd_hardware()
+        p16 = self.model.states.p16
+        return (
+            self.model.forward_flops / self.effective_thp,
+            p16 / hw.bw_gpu,
+            p16 / hw.bw_s2m,
+            hw.bw_gpu,
+            hw.bw_m2s,
+        )
+
+    @functools.cached_property
+    def _backward_terms(self) -> tuple[float, ...]:
+        """Eq. 5's ``A_G2M``-independent parts.
+
+        The SSD array reads 12P of optimizer states plus 2P of P16 (the
+        overflow read back is added per call) and writes 14P.
+        """
+        hw = self._ssd_hardware()
+        states = self.model.states
+        return (
+            self.model.backward_flops,
+            self.effective_thp,
+            states.g16 / hw.bw_gpu,
+            states.p16,
+            hw.bw_gpu,
+            states.optimizer_read + states.p16,
+            hw.bw_s2m,
+            states.optimizer_write / hw.bw_m2s,
+            self.model.n_params / hw.cpu_adam_params_per_s,
+        )
+
+    def _ssd_hardware(self) -> HardwareProfile:
+        """The hardware, which both stages need to have an SSD array."""
         hw = self.hardware
-        if read == 0 and write == 0:
-            return 0.0
         if hw.bw_s2m <= 0 or hw.bw_m2s <= 0:
             raise ValueError("model requires SSD traffic but the server has no SSDs")
-        return read / hw.bw_s2m + write / hw.bw_m2s
+        return hw
 
     def _check_a_g2m(self, a_g2m: float) -> None:
         if a_g2m < 0:

@@ -5,10 +5,16 @@ hardware-aware profiling stage (§IV-B): total parameters ``P``, total
 activation bytes ``A_all``, the inter-block subset ``A_interBlock``,
 forward FLOPs, and the ordered list of swappable activation segments the
 holistic swapping manager (§IV-D) chooses among.
+
+A profile is immutable, so everything derived from it is computed once,
+on first use, and kept on the instance: the scalar totals the iteration
+model reads on every call, and the benefit-sorted segment order with its
+running byte and FLOP sums that turn Eq. 7 into one binary search.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -44,12 +50,12 @@ class ModelProfile:
         """Number of repeated transformer/DiT blocks."""
         return self.config.n_layers
 
-    @property
+    @functools.cached_property
     def n_params(self) -> float:
         """Total trainable parameters (blocks + embeddings)."""
         return float(self.config.n_params)
 
-    @property
+    @functools.cached_property
     def states(self) -> ModelStateFootprint:
         """Persistent model-state footprint (Table II)."""
         return ModelStateFootprint(self.n_params)
@@ -64,7 +70,7 @@ class ModelProfile:
         """Sequences (LLM) or images (DiT) per iteration."""
         return self.batch_size
 
-    @property
+    @functools.cached_property
     def head_flops(self) -> float:
         """Forward FLOPs of the embedding + output head.
 
@@ -78,22 +84,22 @@ class ModelProfile:
         patch_elems = self.config.patch_size**2 * 4
         return 2.0 * t * h * patch_elems + 4.0 * self.batch_size * h * h
 
-    @property
+    @functools.cached_property
     def forward_flops(self) -> float:
         """FLOP_f of Eq. 2: all blocks plus the head."""
         return self.n_blocks * self.block.forward_flops + self.head_flops
 
-    @property
+    @functools.cached_property
     def backward_flops(self) -> float:
         """GPU FLOPs of backward propagation (2x forward, per the paper)."""
         return 2.0 * self.forward_flops
 
-    @property
+    @functools.cached_property
     def embedding_activation_bytes(self) -> float:
         """The block-0 input produced by the embedding (one boundary tensor)."""
         return FP16 * self.tokens_per_iteration * self.config.hidden_dim
 
-    @property
+    @functools.cached_property
     def activation_bytes_total(self) -> float:
         """A_all of Eq. 2: every stored activation, all blocks + embedding out."""
         return (
@@ -101,7 +107,7 @@ class ModelProfile:
             + self.embedding_activation_bytes
         )
 
-    @property
+    @functools.cached_property
     def inter_block_bytes(self) -> float:
         """A_interBlock: the block-boundary tensors only (~6% of A_all).
 
@@ -136,32 +142,65 @@ class ModelProfile:
         benefit; a partially covered segment contributes pro-rata (the
         paper's interpolation assumption).  The embedding output (no
         recompute path) is covered first and saves no FLOPs.
+
+        One binary search over the running byte totals of
+        :meth:`segments_by_benefit` finds the first segment not fully
+        covered; the FLOPs saved before it are a running sum taken in the
+        same order, so the result is bit-identical to walking the
+        segments one by one, in O(log S) instead of O(S log S).
         """
         if swapped_bytes < 0:
             raise ValueError("swapped bytes cannot be negative")
-        remaining = swapped_bytes
-        saved = 0.0
-        for segment in self.segments_by_benefit():
-            if remaining <= 0:
-                break
-            covered = min(segment.nbytes, remaining)
-            saved += segment.recompute_flops * (covered / segment.nbytes)
-            remaining -= covered
-        recomputable = self.n_blocks * self.block.forward_flops
-        return max(0.0, recomputable - saved)
+        order, starts, saved_before = self._benefit_order
+        # starts[k] <= swapped_bytes < starts[k + 1]: segments 0..k-1 are
+        # covered in full.  Segment sizes are integers, so the subtraction
+        # is exact, as each step of the walk was.
+        k = bisect.bisect_right(starts, swapped_bytes) - 1
+        saved = saved_before[k]
+        remaining = swapped_bytes - starts[k]
+        if remaining > 0 and k < len(order):
+            segment = order[k]
+            saved += segment.recompute_flops * (remaining / segment.nbytes)
+        return max(0.0, self._recomputable_flops - saved)
 
-    def segments_by_benefit(self) -> list[ActivationSegment]:
+    def segments_by_benefit(self) -> tuple[ActivationSegment, ...]:
         """All swappable segments sorted by decreasing offloading benefit.
 
         The embedding output comes first: it has no recompute path (the
         block-0 input cannot be regenerated from anything cheaper), so it
         is always swapped, mirroring the paper's ``A_G2M >= A_interBlock``
         floor.  Block segments follow in decreasing Eq.-6 benefit.
+
+        The order is built once per profile; every call returns the same
+        immutable tuple.
+        """
+        return self._benefit_order[0]
+
+    @functools.cached_property
+    def _recomputable_flops(self) -> float:
+        """FLOP_r with nothing swapped: every block's forward pass again."""
+        return self.n_blocks * self.block.forward_flops
+
+    @functools.cached_property
+    def _benefit_order(
+        self,
+    ) -> tuple[tuple[ActivationSegment, ...], list[float], list[float]]:
+        """The benefit order, each segment's start byte, FLOPs saved before it.
+
+        Both running sums have one more entry than the order (the totals),
+        and the FLOP sum adds in walk order, so a prefix equals what a
+        segment-by-segment walk would have accumulated.
         """
         embed = ActivationSegment("embed_out", self.embedding_activation_bytes, 0.0)
         flat = [seg for _idx, seg in self.segments()]
         flat.sort(key=lambda seg: seg.offloading_benefit, reverse=True)
-        return [embed] + flat
+        order = (embed, *flat)
+        starts = [0.0]
+        saved_before = [0.0]
+        for segment in order:
+            starts.append(starts[-1] + segment.nbytes)
+            saved_before.append(saved_before[-1] + segment.recompute_flops)
+        return order, starts, saved_before
 
 
 @functools.lru_cache(maxsize=512)

@@ -25,6 +25,7 @@ committed copy there is the CI regression gate's baseline
 from __future__ import annotations
 
 import datetime as _datetime
+import functools
 import os
 import subprocess
 from dataclasses import asdict, dataclass, field, replace
@@ -51,7 +52,21 @@ class LedgerError(ValueError):
 
 
 def current_git_sha(cwd: str | None = None) -> str:
-    """The current ``HEAD`` SHA, or ``"unknown"`` outside a git checkout."""
+    """The current ``HEAD`` SHA, or ``"unknown"`` outside a git checkout.
+
+    Resolved once per process and working directory: the code a process
+    has loaded does not change when ``HEAD`` moves, and ``git rev-parse``
+    costs milliseconds, which every ledger entry would otherwise pay.
+    """
+    try:
+        where = os.path.abspath(cwd if cwd is not None else os.getcwd())
+    except OSError:  # the working directory was removed under us
+        return "unknown"
+    return _git_sha(where)
+
+
+@functools.lru_cache(maxsize=None)
+def _git_sha(cwd: str) -> str:
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],

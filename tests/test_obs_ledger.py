@@ -56,6 +56,25 @@ class TestLedgerEntry:
         assert entry.timestamp  # ISO stamp, non-empty
         assert not entry.cached
 
+    def test_git_sha_resolved_once_per_directory(self, monkeypatch, tmp_path):
+        import subprocess
+
+        from repro.obs import ledger
+
+        runs = []
+        real_run = subprocess.run
+
+        def counted(*args, **kwargs):
+            runs.append(kwargs.get("cwd"))
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(ledger.subprocess, "run", counted)
+        ledger._git_sha.cache_clear()
+        here = {current_git_sha() for _ in range(3)}
+        elsewhere = {current_git_sha(str(tmp_path)) for _ in range(3)}
+        assert len(here) == 1 and elsewhere == {"unknown"}
+        assert len(runs) == 2
+
     def test_default_label_matches_sweep_point_form(self, outcome, server):
         entry = entry_from_outcome(outcome, server=server)
         assert entry.label == f"evaluate:Ratel/13B/b8@{server.name}"
